@@ -2,10 +2,8 @@ package chunklog
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"debar/internal/fp"
 )
@@ -20,8 +18,8 @@ import (
 // happens only at the end of the pass that owns the views).
 type View struct {
 	l    *Log
-	recs []Record // memory-backed snapshot (nil for file/WAL logs)
-	end  int64    // snapshot byte bound for file/WAL logs
+	recs []Record // memory-backed snapshot (nil for WAL logs)
+	end  int64    // snapshot byte bound for WAL logs
 }
 
 // View captures a snapshot of the current log contents.
@@ -29,18 +27,9 @@ func (l *Log) View() (*View, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	v := &View{l: l}
-	switch {
-	case l.crc:
+	if l.file != nil {
 		v.end = l.end
-	case l.file != nil:
-		// Plain file logs append through the file offset; the current
-		// offset is the snapshot bound.
-		off, err := l.file.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return nil, fmt.Errorf("chunklog: view: %w", err)
-		}
-		v.end = off
-	default:
+	} else {
 		// Appends only ever append, so this slice header is an immutable
 		// prefix even while the log grows (or is Reset) underneath.
 		v.recs = l.recs
@@ -49,9 +38,9 @@ func (l *Log) View() (*View, error) {
 }
 
 // Len returns the number of records the snapshot covers (a scan for
-// file-backed logs).
+// WAL logs).
 func (v *View) Len() (int64, error) {
-	if v.recs != nil || (v.l.file == nil && !v.l.crc) {
+	if v.l.file == nil {
 		return int64(len(v.recs)), nil
 	}
 	var n int64
@@ -66,46 +55,13 @@ func (v *View) Len() (int64, error) {
 // the disk cost model meters the lock-serialised path, while concurrent
 // replay cost is measured by the wall-clock benchmarks.
 func (v *View) Iterate(fn func(Record) error) error {
-	l := v.l
-	switch {
-	case l.crc:
+	if v.l.file != nil {
 		return v.iterateWALView(fn)
-	case l.file != nil:
-		return v.iterateFileView(fn)
-	default:
-		for _, r := range v.recs {
-			if err := fn(r); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-}
-
-func (v *View) iterateFileView(fn func(Record) error) error {
-	off := int64(0)
-	var hdr [recordHeader]byte
-	for off+recordHeader <= v.end {
-		if _, err := v.l.file.ReadAt(hdr[:], off); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("chunklog: view iterate: %w", err)
-		}
-		var r Record
-		copy(r.FP[:], hdr[:fp.Size])
-		r.Size = binary.BigEndian.Uint32(hdr[fp.Size:])
-		if off+recordHeader+int64(r.Size) > v.end {
-			return nil
-		}
-		r.Data = make([]byte, r.Size)
-		if _, err := v.l.file.ReadAt(r.Data, off+recordHeader); err != nil {
-			return fmt.Errorf("chunklog: view iterate: %w", err)
-		}
+	for _, r := range v.recs {
 		if err := fn(r); err != nil {
 			return err
 		}
-		off += recordHeader + int64(r.Size)
 	}
 	return nil
 }

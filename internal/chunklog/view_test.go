@@ -40,11 +40,6 @@ func TestViewSnapshotBoundary(t *testing.T) {
 	logs := map[string]*Log{
 		"mem": NewMem(false, nil),
 	}
-	if fl, err := OpenFile(filepath.Join(dir, "plain.log"), nil); err == nil {
-		logs["file"] = fl
-	} else {
-		t.Fatal(err)
-	}
 	wl, _, err := OpenWAL(filepath.Join(dir, "wal.log"), -1)
 	if err != nil {
 		t.Fatal(err)

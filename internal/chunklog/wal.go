@@ -40,14 +40,14 @@ var (
 // start of the file and truncates at the first record whose header is
 // short, whose declared size is implausible, or whose checksum mismatches:
 // everything before that point is a complete prefix of the appended
-// stream (a preallocated-but-unwritten tail reads as zeros and fails the
-// scan the same way a torn record does). Durability is scheduled one of
-// two ways: standalone, appends fsync inline every syncBytes; under the
-// engine's group committer (SetExternalSync) the scheduler calls Sync
-// from its flusher and the backup server holds each ChunkBatch verdict
-// until the covering sync lands, so an acknowledged chunk is always
-// recoverable — see internal/store/README.md ("Consistency model"). The
-// recovered prefix is always a consistent replay point.
+// stream (a zero-filled tail fails the scan the same way a torn record
+// does). Durability is scheduled one of two ways: standalone, appends
+// fsync inline every syncBytes; under the engine's group committer
+// (SetExternalSync) the scheduler calls Sync from its flusher and the
+// backup server holds each ChunkBatch verdict until the covering sync
+// lands, so an acknowledged chunk is always recoverable — see
+// internal/store/README.md ("Consistency model"). The recovered prefix
+// is always a consistent replay point.
 
 // walHeader is the serialised record header: checksum + fingerprint + size.
 const walHeader = 4 + fp.Size + 4
@@ -78,7 +78,7 @@ func OpenWAL(path string, syncBytes int) (*Log, []fp.FP, error) {
 	if syncBytes == 0 {
 		syncBytes = DefaultWALSyncBytes
 	}
-	l := &Log{file: f, crc: true, syncBytes: syncBytes}
+	l := &Log{file: f, syncBytes: syncBytes}
 	fps, err := l.recoverWAL()
 	if err != nil {
 		return nil, nil, errors.Join(err, f.Close())
@@ -125,10 +125,8 @@ func (l *Log) recoverWAL() ([]fp.FP, error) {
 		off += walHeader + size
 	}
 	if off < fileSize {
-		// Truncating covers both a torn tail and a preallocated-but-
-		// unwritten one (zeros fail the checksum scan the same way); the
-		// shrink also guarantees the dropped range reads as zeros if it
-		// is later re-extended by preallocation.
+		// Truncating covers both a torn tail and a zero-filled one
+		// (zeros fail the checksum scan the same way).
 		if err := l.file.Truncate(off); err != nil {
 			return nil, fmt.Errorf("chunklog: wal truncating torn tail: %w", err)
 		}
@@ -137,7 +135,6 @@ func (l *Log) recoverWAL() ([]fp.FP, error) {
 		}
 	}
 	l.end = off
-	l.preallocTo = off
 	return fps, nil
 }
 
@@ -153,17 +150,6 @@ func (l *Log) appendWAL(f fp.FP, size uint32, data []byte) error {
 	binary.BigEndian.PutUint32(rec[4+fp.Size:], size)
 	copy(rec[walHeader:], data)
 	binary.BigEndian.PutUint32(rec[:4], crc32.Checksum(rec[4:], castagnoli))
-	if l.prealloc > 0 && l.end+int64(len(rec)) > l.preallocTo {
-		// Keep the allocation ahead of the cursor so the writes below
-		// (and data-only syncs covering them) never grow the inode.
-		to := l.end + int64(len(rec))
-		to += l.prealloc - 1
-		to -= to % l.prealloc
-		if err := fsx.Preallocate(l.file, to); err != nil {
-			return fmt.Errorf("chunklog: wal preallocate: %w", err)
-		}
-		l.preallocTo = to
-	}
 	if _, err := l.file.WriteAt(rec, l.end); err != nil {
 		return fmt.Errorf("chunklog: wal append: %w", err)
 	}

@@ -223,19 +223,17 @@ func TestWALSyncFailureKeepsDirty(t *testing.T) {
 	}
 }
 
-// TestWALPreallocRecovery: with preallocation the file extends ahead of
-// the append cursor, so a crash (or plain Close) leaves a zero-filled
-// tail. Recovery must accept exactly the appended records — the zero
-// tail fails the checksum scan like a torn record — and appending must
-// resume cleanly afterwards.
+// TestWALPreallocRecovery: a zero-filled tail past the last record — the
+// shape a torn zero-filled write leaves, and the shape WAL files written
+// by builds that preallocated ahead of the append cursor still carry —
+// must be recovered like a torn record. Recovery accepts exactly the
+// appended records, truncates the zeros, and appending resumes cleanly.
 func TestWALPreallocRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chunklog.wal")
 	l, _, err := OpenWAL(path, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const step = int64(4096)
-	l.SetPrealloc(step)
 	const n = 6
 	for i := 0; i < n; i++ {
 		f, data := walRecord(i)
@@ -247,22 +245,16 @@ func TestWALPreallocRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The on-disk file is larger than the logical log: the preallocated
-	// tail is still attached, exactly the shape a crash leaves behind.
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size()%step != 0 || st.Size() == 0 {
-		t.Fatalf("file size %d not a preallocation multiple of %d", st.Size(), step)
-	}
+	// Zero-fill past the logical end up to the next 4 KB boundary.
+	const step = int64(4096)
+	logical := zeroFillTo(t, path, step)
 
 	l2, fps, err := OpenWAL(path, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fps) != n {
-		t.Fatalf("recovered %d fps under a preallocated tail, want %d", len(fps), n)
+		t.Fatalf("recovered %d fps under a zero-filled tail, want %d", len(fps), n)
 	}
 	for i, f := range fps {
 		want, _ := walRecord(i)
@@ -271,8 +263,14 @@ func TestWALPreallocRecovery(t *testing.T) {
 		}
 	}
 	// Recovery truncated the zero tail, so appends restart from the
-	// logical end (and re-extend the allocation as they go).
-	l2.SetPrealloc(step)
+	// logical end.
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != logical {
+		t.Fatalf("zero tail not truncated: size %d, want %d", st.Size(), logical)
+	}
 	f, data := walRecord(99)
 	if err := l2.Append(f, uint32(len(data)), data); err != nil {
 		t.Fatal(err)
@@ -287,6 +285,29 @@ func TestWALPreallocRecovery(t *testing.T) {
 	if len(fps) != n+1 || fps[n] != f {
 		t.Fatalf("post-recovery append lost (got %d fps)", len(fps))
 	}
+}
+
+// zeroFillTo writes zeros from the end of the file at path up to the next
+// multiple of step and returns the file's size before the fill.
+func zeroFillTo(t *testing.T, path string, step int64) int64 {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := st.Size()
+	to := (end/step + 1) * step
+	if _, err := f.WriteAt(make([]byte, to-end), end); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return end
 }
 
 func TestWALResetDurable(t *testing.T) {

@@ -223,7 +223,14 @@ func TestFaultProxyCloseReleasesStalledConns(t *testing.T) {
 	px.SetPlan(Plan{StallC2S: 1})
 
 	c := dialProxy(t, px)
-	c.Write(make([]byte, 1<<10))
+	if _, err := c.Write(make([]byte, 1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	// Consume the one byte the stall lets through (the echo sends it
+	// back), so the read below can only end by the proxy closing.
+	if _, err := io.ReadFull(c, make([]byte, 1)); err != nil {
+		t.Fatalf("reading pre-stall byte: %v", err)
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Read(make([]byte, 1))

@@ -54,8 +54,8 @@ type commitWindow struct {
 func (w *commitWindow) fill() { w.fullOnce.Do(func() { close(w.full) }) }
 
 // Ticket is a claim on a commit window. The zero Ticket is resolved:
-// Wait returns nil immediately (the disabled-group-commit path, where
-// the caller's own write already synced inline).
+// Wait returns nil immediately. Enqueue hands it out after Close, when
+// the caller has already made its own final sync.
 type Ticket struct{ w *commitWindow }
 
 // Wait blocks until the ticket's window has been synced and returns the

@@ -67,13 +67,6 @@ type SegRepo struct {
 
 	gc *Committer // group-commit scheduler; nil → fsync inline per Append
 
-	// prealloc keeps the active segment's allocation this many bytes
-	// ahead of the append cursor (0 disables): in-step appends leave the
-	// inode size unchanged, so the committer's data-only syncs skip the
-	// metadata journal. preallocTo is the extent already allocated.
-	prealloc   int64 // guarded by mu
-	preallocTo int64 // guarded by mu
-
 	failFn func() error // guarded by mu; fault injection: non-nil error fails Append
 }
 
@@ -83,14 +76,6 @@ type SegRepo struct {
 func (r *SegRepo) SetGroupCommit(c *Committer) {
 	r.mu.Lock()
 	r.gc = c
-	r.mu.Unlock()
-}
-
-// SetPrealloc sets the allocation step kept ahead of the active
-// segment's append cursor (0 disables). Call before the first Append.
-func (r *SegRepo) SetPrealloc(step int64) {
-	r.mu.Lock()
-	r.prealloc = step
 	r.mu.Unlock()
 }
 
@@ -185,9 +170,8 @@ func (r *SegRepo) recover() error {
 		}
 		seg.size = end
 		if last {
-			// Drop any torn or preallocated-but-unwritten tail so the next
-			// append lands on a clean edge; the shrink also guarantees a
-			// later preallocation re-extends over zeros.
+			// Drop any torn or zero-filled tail so the next append lands
+			// on a clean edge.
 			st, err := f.Stat()
 			if err != nil {
 				return fmt.Errorf("store: %w", err)
@@ -201,7 +185,6 @@ func (r *SegRepo) recover() error {
 				}
 			}
 			r.end = end
-			r.preallocTo = end
 		}
 		mapLen := seg.size
 		if last && r.segBytes > mapLen {
@@ -312,7 +295,6 @@ func (r *SegRepo) addSegmentSized(n int, minMap int64) error {
 	}
 	r.segs = append(r.segs, &segment{path: segPath(r.dir, n), f: f, m: m})
 	r.end = 0
-	r.preallocTo = 0
 	return nil
 }
 
@@ -359,10 +341,11 @@ func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 	frameLen := int64(segFrameHdr + len(img))
 	if r.end > 0 && r.end+frameLen > r.segBytes {
 		// Seal the active segment: shrink it to its exact record length
-		// (dropping any preallocated tail — sealed segments must scan
-		// exactly to their end on recovery) and fsync data + size before
-		// the next segment exists, so a crash anywhere in the rotation
-		// leaves either a fully sealed segment or this one still last.
+		// (dropping anything a failed append left past the cursor —
+		// sealed segments must scan exactly to their end on recovery)
+		// and fsync data + size before the next segment exists, so a
+		// crash anywhere in the rotation leaves either a fully sealed
+		// segment or this one still last.
 		// The mapping (with append headroom) is kept as-is for the life
 		// of the repository: remapping would invalidate zero-copy slices
 		// already handed out to the LPC cache and in-flight restores.
@@ -379,15 +362,6 @@ func (r *SegRepo) Append(c *container.Container) (fp.ContainerID, error) {
 		mSegmentRotations.Inc()
 	}
 	seg := r.active()
-	if r.prealloc > 0 && r.end+frameLen > r.preallocTo {
-		to := r.end + frameLen
-		to += r.prealloc - 1
-		to -= to % r.prealloc
-		if err := fsx.Preallocate(seg.f, to); err != nil {
-			return 0, fmt.Errorf("store: preallocating segment: %w", err)
-		}
-		r.preallocTo = to
-	}
 	frame := make([]byte, frameLen)
 	binary.BigEndian.PutUint32(frame[0:], segFrameMagic)
 	binary.BigEndian.PutUint32(frame[4:], uint32(len(img)))

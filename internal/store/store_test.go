@@ -29,7 +29,7 @@ func testContainer(seed, n int) *container.Container {
 
 func openTestEngine(t *testing.T, dir string) *Engine {
 	t.Helper()
-	e, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20, WALSyncBytes: -1})
+	e, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestEngineGeometryConflictRejected(t *testing.T) {
 		t.Fatal("conflicting index geometry accepted")
 	}
 	// Default (unspecified) geometry adopts the manifest's.
-	e2, err := Open(dir, Options{WALSyncBytes: -1})
+	e2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,19 +429,18 @@ func TestSegRepoConcurrentReadsDuringAppends(t *testing.T) {
 	}
 }
 
-// TestSegRepoPreallocRecovery: with preallocation the active segment's
-// file extends ahead of the append cursor. Rotation must seal segments
-// at their exact record length (sealed segments strict-scan on open, so
-// a leftover tail would fail recovery outright), and the last segment's
-// zero tail must be truncated away like a torn one.
+// TestSegRepoPreallocRecovery: a zero-filled tail past the last record of
+// the active segment — the shape a torn zero-filled write leaves, and the
+// shape data dirs written by builds that preallocated ahead of the append
+// cursor still carry — must be truncated away like a torn frame. Rotation
+// must seal segments at their exact record length (sealed segments
+// strict-scan on open, so a leftover tail would fail recovery outright).
 func TestSegRepoPreallocRecovery(t *testing.T) {
 	dir := t.TempDir()
-	const step = int64(64 << 10)
 	r, err := OpenSegRepo(dir, 200<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetPrealloc(step)
 	var want []*container.Container
 	for i := 0; i < 8; i++ {
 		c := testContainer(i, 200) // ~60 KB: several rotations at 200 KB
@@ -458,23 +457,49 @@ func TestSegRepoPreallocRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sealed segments were shrunk to their records; the active one still
-	// carries its preallocated tail (the shape a crash leaves behind).
-	for i := 0; i < segs-1; i++ {
+	// Sealed segments end exactly at their last frame: replay the
+	// rotation rule over the frame sizes and compare file sizes.
+	var sealed []int64
+	var end int64
+	for i, c := range want {
+		img := (&container.Container{ID: fp.ContainerID(i), Meta: c.Meta, Data: c.Data}).Marshal()
+		frameLen := int64(segFrameHdr + len(img))
+		if end > 0 && end+frameLen > 200<<10 {
+			sealed = append(sealed, end)
+			end = 0
+		}
+		end += frameLen
+	}
+	if len(sealed) != segs-1 {
+		t.Fatalf("rotation replay predicts %d sealed segments, repo has %d", len(sealed), segs-1)
+	}
+	for i, size := range sealed {
 		st, err := os.Stat(segPath(dir, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Size()%step == 0 {
-			t.Fatalf("sealed segment %d size %d still on a preallocation boundary (tail not dropped)", i, st.Size())
+		if st.Size() != size {
+			t.Fatalf("sealed segment %d size %d, want its exact record length %d", i, st.Size(), size)
 		}
 	}
-	st, err := os.Stat(segPath(dir, segs-1))
+	// Zero-fill the active segment up to the next 64 KB boundary.
+	const step = int64(64 << 10)
+	active := segPath(dir, segs-1)
+	f, err := os.OpenFile(active, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Size()%step != 0 {
-		t.Fatalf("active segment size %d not a preallocation multiple of %d", st.Size(), step)
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logical := st.Size()
+	to := (logical/step + 1) * step
+	if _, err := f.WriteAt(make([]byte, to-logical), logical); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	r2, err := OpenSegRepo(dir, 200<<10)
@@ -483,7 +508,7 @@ func TestSegRepoPreallocRecovery(t *testing.T) {
 	}
 	defer r2.Close()
 	if got := r2.Containers(); got != int64(len(want)) {
-		t.Fatalf("recovered %d containers under preallocated tails, want %d", got, len(want))
+		t.Fatalf("recovered %d containers under a zero-filled tail, want %d", got, len(want))
 	}
 	for i, c := range want {
 		got, err := r2.Load(fp.ContainerID(i))
@@ -493,6 +518,12 @@ func TestSegRepoPreallocRecovery(t *testing.T) {
 		if !bytes.Equal(got.Data, c.Data) {
 			t.Fatalf("container %d did not round-trip", i)
 		}
+	}
+	if st, err = os.Stat(active); err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != logical {
+		t.Fatalf("zero tail not truncated: active segment size %d, want %d", st.Size(), logical)
 	}
 	// IDs continue past the recovered maximum: the zero tail was dropped.
 	id, err := r2.Append(testContainer(99, 10))
@@ -504,19 +535,15 @@ func TestSegRepoPreallocRecovery(t *testing.T) {
 	}
 }
 
-// TestEngineGroupCommitRoundTrip: the default engine runs with group
-// commit on — appends stage, Checkpoint is the durability barrier — and
+// TestEngineGroupCommitRoundTrip: the engine always runs with group
+// commit — appends stage, Checkpoint is the durability barrier — and
 // everything checkpointed must survive a reopen.
 func TestEngineGroupCommitRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20, PreallocBytes: 64 << 10})
+	e, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.GroupCommit() {
-		t.Fatal("default options did not enable group commit")
-	}
-
 	c := testContainer(7, 100)
 	id, err := e.Repo().Append(c)
 	if err != nil {
@@ -538,7 +565,7 @@ func TestEngineGroupCommitRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20, PreallocBytes: 64 << 10})
+	e2, err := Open(dir, Options{IndexBits: 8, SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,22 +583,6 @@ func TestEngineGroupCommitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEngineGroupCommitDisabled: a negative CommitMaxBytes falls back to
-// inline fsync scheduling — no committer, resolved WAL tickets.
-func TestEngineGroupCommitDisabled(t *testing.T) {
-	e, err := Open(t.TempDir(), Options{IndexBits: 8, CommitMaxBytes: -1, WALSyncBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if e.GroupCommit() {
-		t.Fatal("negative CommitMaxBytes left group commit enabled")
-	}
-	if tk := e.WALTicket(1); tk.Pending() {
-		t.Fatal("disabled group commit issued a pending ticket")
-	}
-}
-
 func TestEngineDataDirLocked(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no advisory locking on this platform")
@@ -579,7 +590,7 @@ func TestEngineDataDirLocked(t *testing.T) {
 	dir := t.TempDir()
 	e := openTestEngine(t, dir)
 	defer e.Close()
-	if _, err := Open(dir, Options{IndexBits: 8, WALSyncBytes: -1}); err == nil {
+	if _, err := Open(dir, Options{IndexBits: 8}); err == nil {
 		t.Fatal("second engine over a live data dir was not rejected")
 	}
 }

@@ -169,14 +169,10 @@ func classifyFileUse(info *types.Info, id *ast.Ident, stack []ast.Node, u *fileU
 		return
 	}
 
-	// Argument to the fsx durability helpers: counted, not an escape.
+	// Argument to fsx.SyncData: counted as a sync, not an escape.
 	if call, ok := parent.(*ast.CallExpr); ok && call.Fun != id {
-		fn := calleeOf(info, call)
-		if isPkgFunc(fn, "debar/internal/fsx", "SyncData") {
+		if isPkgFunc(calleeOf(info, call), "debar/internal/fsx", "SyncData") {
 			u.syncs++
-			return
-		}
-		if isPkgFunc(fn, "debar/internal/fsx", "Preallocate") {
 			return
 		}
 		u.escaped = true // passed to an arbitrary function
